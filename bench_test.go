@@ -17,6 +17,7 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/experiments"
 	"repro/internal/experiments/runner"
+	"repro/internal/filter"
 	"repro/internal/lb"
 	"repro/internal/pipeline"
 	"repro/internal/policy"
@@ -180,8 +181,9 @@ fallback primary -> backup
 }
 
 // BenchmarkAblationSorted compares min-finding on the SMBM's sorted
-// dimension (a priority encode over the masked list) against a linear scan
-// of an unsorted array — the data-structure choice §5.1.1 motivates.
+// dimension — the shipped UFPU min datapath, a priority encode over the
+// masked sorted list, on a dense input — against a linear scan of an
+// unsorted array: the data-structure choice §5.1.1 motivates.
 func BenchmarkAblationSorted(b *testing.B) {
 	const n = 512
 	table := smbm.New(n, 1)
@@ -194,11 +196,16 @@ func BenchmarkAblationSorted(b *testing.B) {
 		}
 	}
 	b.Run("smbm-sorted-dim", func(b *testing.B) {
-		d := table.Dim(0)
+		u, err := filter.NewUFPU(table, filter.UFPUConfig{Op: filter.UMin, Attr: 0})
+		if err != nil {
+			b.Fatal(err)
+		}
+		in, out := table.Members(), bitvec.New(n)
 		for i := 0; i < b.N; i++ {
-			if d.ID(0) < 0 { // min = head of the sorted dimension
-				b.Fatal("impossible")
-			}
+			u.ExecInto(out, in)
+		}
+		if out.Count() != 1 {
+			b.Fatal("min selected no resource")
 		}
 	})
 	b.Run("unsorted-linear-scan", func(b *testing.B) {

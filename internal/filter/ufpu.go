@@ -131,25 +131,11 @@ func (u *UFPU) ExecInto(out, in *bitvec.Vector) {
 		out.And(in, u.sat)
 
 	case UMin, UMax:
-		// Cycle 1: copy sorted attrX list with masking. Cycle 2: priority-
-		// encode the first (min) or last (max) valid entry. Equivalent to
-		// the encoder over the masked sorted list: among ids present in
-		// both the input and the table, select the one with the smallest
-		// (min) or largest (max) sorted position — computed in O(popcount)
-		// via the id-indexed position column instead of an O(N) scan.
-		mem := u.table.MembersView()
-		bestPos, bestID := -1, -1
-		for wi, nw := 0, in.NumWords(); wi < nw; wi++ {
-			for m := in.Word(wi) & mem.Word(wi); m != 0; m &= m - 1 {
-				id := wi*64 + bits.TrailingZeros64(m)
-				p := u.table.PosInDim(id, u.cfg.Attr)
-				if bestPos < 0 || (u.cfg.Op == UMin && p < bestPos) || (u.cfg.Op == UMax && p > bestPos) {
-					bestPos, bestID = p, id
-				}
-			}
-		}
-		if bestID >= 0 {
-			out.Set(bestID)
+		// Cycle 1: copy the sorted attrX list, masking entries whose
+		// resource is absent from the input. Cycle 2: priority-encode the
+		// first (min) or last (max) valid entry.
+		if id := u.encodeSorted(in); id >= 0 {
+			out.Set(id)
 		}
 
 	case URoundRobin:
@@ -169,6 +155,56 @@ func (u *UFPU) ExecInto(out, in *bitvec.Vector) {
 			out.Set(i)
 		}
 	}
+}
+
+// encodeSorted returns the id the min/max priority encoder selects over the
+// masked sorted attrX list — among ids present in both the input and the
+// table, the one at the smallest (min) or largest (max) sorted position —
+// or -1 if there is none. Sorted position already encodes the FIFO
+// tie-break, so no value comparison is needed.
+//
+// The encoder is modelled in two stages. The sorted walk reads the id
+// column from the encoder's end and stops at the first id set in the
+// input; column entries are always members, so no membership mask is
+// applied. It is bounded by c = |in ∧ members| positions. A dense input
+// hits within the first few positions; an input the walk misses falls back
+// to visiting its c ids through the id → position pointers. The cost is
+// O(N/64 + 2c) either way, where the id walk alone costs O(c) even when
+// the answer sits at position 0.
+func (u *UFPU) encodeSorted(in *bitvec.Vector) int {
+	mem := u.table.MembersView()
+	c := bitvec.AndCount(in, mem)
+	if c == 0 {
+		return -1
+	}
+	col := u.table.Dim(u.cfg.Attr).IDColumn()
+	if u.cfg.Op == UMin {
+		for _, id := range col[:c] {
+			if in.Get(int(id)) {
+				return int(id)
+			}
+		}
+	} else {
+		for p := len(col) - 1; p >= len(col)-c; p-- {
+			if id := int(col[p]); in.Get(id) {
+				return id
+			}
+		}
+	}
+
+	// Fallback: visit every id of in ∧ members and keep the best sorted
+	// position.
+	bestPos, bestID := -1, -1
+	for wi, nw := 0, in.NumWords(); wi < nw; wi++ {
+		for m := in.Word(wi) & mem.Word(wi); m != 0; m &= m - 1 {
+			id := wi*64 + bits.TrailingZeros64(m)
+			p := u.table.PosInDim(id, u.cfg.Attr)
+			if bestPos < 0 || (u.cfg.Op == UMin && p < bestPos) || (u.cfg.Op == UMax && p > bestPos) {
+				bestPos, bestID = p, id
+			}
+		}
+	}
+	return bestID
 }
 
 // rebuildSat recomputes the predicate satisfying set from the sorted attrX

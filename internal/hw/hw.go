@@ -84,24 +84,12 @@ func PriorityEncodeRotated(v *bitvec.Vector, start int) int {
 	return v.NextSetCyclic(start)
 }
 
-// The And variants below model an AND gate array feeding a priority encoder
-// — the masked temp_list datapath of §5.2.1 where the input table is gated
-// by table membership before the encode. They are word-parallel fusions:
-// equivalent to materializing a ∧ b and encoding it, without writing the
-// intermediate vector, so the software model's select path stays as flat as
-// the combinational logic it mirrors.
-
-// PriorityEncodeFirstAnd returns the index of the first set bit of a ∧ b,
-// or -1 if the intersection is empty.
-func PriorityEncodeFirstAnd(a, b *bitvec.Vector) int { return bitvec.AndFirstSet(a, b) }
-
-// PriorityEncodeLastAnd returns the index of the last set bit of a ∧ b, or
-// -1 if the intersection is empty.
-func PriorityEncodeLastAnd(a, b *bitvec.Vector) int { return bitvec.AndLastSet(a, b) }
-
 // PriorityEncodeRotatedAnd is PriorityEncodeRotated over a ∧ b: the first
 // set bit of the intersection at or cyclically after start, or -1 if the
-// intersection is empty.
+// intersection is empty. It models an AND gate array feeding the rotated
+// encoder — the masked temp_list datapath of §5.2.1, where the input table
+// is gated by table membership before the encode — as a word-parallel
+// fusion that never writes the intermediate vector.
 func PriorityEncodeRotatedAnd(a, b *bitvec.Vector, start int) int {
 	return bitvec.AndNextSetCyclic(a, b, start)
 }

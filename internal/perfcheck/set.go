@@ -185,6 +185,9 @@ func Set() []Benchmark {
 		{Name: "SMBMUpdateChurn", Iters: 4 * churnCycle, Setup: setupSMBMUpdateChurn},
 		{Name: "SMBMUpdateBatch", Iters: 20000, Threshold: tableThreshold, Setup: setupSMBMUpdateBatch},
 		{Name: "EngineDecideBatch", Iters: 100, Reps: 3, Threshold: simThreshold, Setup: setupEngineDecideBatch},
+		{Name: "EngineDecideMinN64", Iters: 2000, Threshold: simThreshold, Setup: setupEngineDecideMin(64)},
+		{Name: "EngineDecideMinN1024", Iters: 2000, Threshold: simThreshold, Setup: setupEngineDecideMin(1024)},
+		{Name: "EngineDecideMinN4096", Iters: 2000, Threshold: simThreshold, Setup: setupEngineDecideMin(4096)},
 	}
 }
 
@@ -322,6 +325,48 @@ func setupEngineDecideBatch() (func(int), error) {
 	return func(int) {
 		e.DecideBatch(pkts)
 	}, nil
+}
+
+// minPolicySrc and minBatch are the served reference shape thanosload
+// drives: a dense min over the whole table, 256 decisions per batch.
+const (
+	minPolicySrc = "out best = min(table, cpu)\n"
+	minBatch     = 256
+)
+
+// setupEngineDecideMin returns the setup for one served-shape engine
+// benchmark at table size n: a 2-shard engine running min(table, cpu) over
+// n resources populated like thanosload's table (cpu in [0,100), so ties
+// are common), one 256-packet DecideBatch per iteration. The three sizes
+// make the gate see how decision cost grows with the table.
+func setupEngineDecideMin(n int) func() (func(int), error) {
+	return func() (func(int), error) {
+		e, err := engine.New(engine.Config{
+			Shards:   2,
+			Capacity: n,
+			Schema:   policy.Schema{Attrs: []string{"cpu", "mem", "bw"}},
+			Policy:   policy.MustParse(minPolicySrc),
+		})
+		if err != nil {
+			return nil, err
+		}
+		r := rand.New(rand.NewSource(42))
+		for id := 0; id < n; id++ {
+			if err := e.Add(id, []int64{int64(r.Intn(100)), int64(r.Intn(8192)), int64(r.Intn(10000))}); err != nil {
+				return nil, err
+			}
+		}
+		pkts := make([]engine.Packet, minBatch)
+		return func(i int) {
+			for j := range pkts {
+				pkts[j] = engine.Packet{Key: uint64(i*minBatch+j) * 0x9E3779B97F4A7C15}
+			}
+			e.DecideBatch(pkts)
+			if !pkts[0].OK {
+				panic("perfcheck: min decision failed")
+			}
+		}, nil
+	}
 }
 
 // bitvecSet returns the bit-vector kernel microbenchmarks. They live in

@@ -174,9 +174,7 @@ func (c *conn) workLoop() {
 	for {
 		select {
 		case req := <-c.ring:
-			c.serve(req)
-			c.srv.m.inflight.Add(-1)
-			c.free <- req
+			c.serveAndReply(req)
 		case <-c.done:
 			// Drain requests admitted before shutdown so every admitted
 			// frame is answered or the connection is visibly dead — never
@@ -184,9 +182,7 @@ func (c *conn) workLoop() {
 			for {
 				select {
 				case req := <-c.ring:
-					c.serve(req)
-					c.srv.m.inflight.Add(-1)
-					c.free <- req
+					c.serveAndReply(req)
 				default:
 					return
 				}
@@ -195,20 +191,39 @@ func (c *conn) workLoop() {
 	}
 }
 
-// serve executes one request against the backend and writes the reply.
-func (c *conn) serve(req *request) {
+// serveAndReply executes one request and answers it. The reply is encoded
+// into the worker's own scratch, so the request slot goes back to the free
+// list before the reply is written: a client may send its next frame the
+// moment it reads a reply, and that frame must find the slot free — a
+// reply means the slot is free.
+func (c *conn) serveAndReply(req *request) {
+	traceID := req.traceID
+	var reply []byte
+	var doneNs int64
+	if traceID != 0 {
+		reply, doneNs = c.serveTracedDecide(req)
+	} else {
+		reply = c.serve(req)
+	}
+	c.srv.m.inflight.Add(-1)
+	c.free <- req
+	c.writeWorker(reply)
+	if traceID != 0 {
+		c.srv.flight.Record(telemetry.SpanEncode, traceID, doneNs, nowNs(), 0)
+	}
+}
+
+// serve executes one untraced request against the backend and returns its
+// encoded reply.
+func (c *conn) serve(req *request) []byte {
 	switch req.op {
 	case OpDecide:
-		if req.traceID != 0 {
-			c.serveTracedDecide(req)
-			return
-		}
 		start := time.Now()
 		c.srv.be.DecideBatch(req.pkts)
 		c.srv.m.decisions.Add(uint64(len(req.pkts)))
 		c.srv.m.batchHist.Observe(uint64(len(req.pkts)))
 		c.srv.m.latencyHist.Observe(uint64(time.Since(start).Microseconds()))
-		c.writeWorker(AppendDecided(c.wout[:0], req.seq, req.pkts))
+		return AppendDecided(c.wout[:0], req.seq, req.pkts)
 	case OpTable:
 		buf := c.wout[:0]
 		// Statuses are written into the frame as the ops execute: reserve
@@ -219,7 +234,7 @@ func (c *conn) serve(req *request) {
 			buf = append(buf, c.applyTableOp(&req.ops[i]))
 		}
 		c.srv.m.tableOps.Add(uint64(len(req.ops)))
-		c.writeWorker(buf)
+		return buf
 	case OpSwap:
 		status, msg := byte(StatusOK), ""
 		pol, err := policy.Parse(string(req.dsl))
@@ -231,23 +246,26 @@ func (c *conn) serve(req *request) {
 		} else {
 			c.srv.m.swaps.Inc()
 		}
-		c.writeWorker(AppendSwapAck(c.wout[:0], req.seq, status, msg))
+		return AppendSwapAck(c.wout[:0], req.seq, status, msg)
 	case OpHello:
-		c.writeWorker(AppendHelloAck(c.wout[:0], req.seq, c.srv.helloInfo()))
+		return AppendHelloAck(c.wout[:0], req.seq, c.srv.helloInfo())
 	case OpPing:
-		c.writeWorker(AppendPong(c.wout[:0], req.seq, c.srv.pongInfo()))
+		return AppendPong(c.wout[:0], req.seq, c.srv.pongInfo())
 	}
+	return nil
 }
 
 // serveTracedDecide is the traced variant of the Decide arm: same backend
 // call and metrics, plus phase stamps echoed to the client in the reply's
-// DecideTrace trailer and recorded into the server's flight ring. The
-// extra cost over the plain path is three clock reads, one histogram
-// exemplar store and two lock-free ring records — all allocation-free.
-func (c *conn) serveTracedDecide(req *request) {
+// DecideTrace trailer and recorded into the server's flight ring. It
+// returns the encoded reply and the decide-done stamp, which opens the
+// encode span serveAndReply records once the reply is written. The extra
+// cost over the plain path is three clock reads, one histogram exemplar
+// store and three lock-free ring records — all allocation-free.
+func (c *conn) serveTracedDecide(req *request) (reply []byte, doneNs int64) {
 	startNs := nowNs()
 	c.srv.be.DecideBatch(req.pkts)
-	doneNs := nowNs()
+	doneNs = nowNs()
 	c.srv.m.decisions.Add(uint64(len(req.pkts)))
 	c.srv.m.batchHist.Observe(uint64(len(req.pkts)))
 	c.srv.m.latencyHist.ObserveExemplar(uint64((doneNs-startNs)/1000), req.traceID)
@@ -258,11 +276,10 @@ func (c *conn) serveTracedDecide(req *request) {
 		StartNs: startNs,
 		DoneNs:  doneNs,
 	}
-	c.writeWorker(AppendDecidedTrace(c.wout[:0], req.seq, req.pkts, tr))
 	flight := c.srv.flight
 	flight.Record(telemetry.SpanRingWait, req.traceID, req.admitNs, startNs, int64(len(req.pkts)))
 	flight.Record(telemetry.SpanDecide, req.traceID, startNs, doneNs, int64(len(req.pkts)))
-	flight.Record(telemetry.SpanEncode, req.traceID, doneNs, nowNs(), 0)
+	return AppendDecidedTrace(c.wout[:0], req.seq, req.pkts, tr), doneNs
 }
 
 // nowNs is the server's phase-stamp clock.

@@ -557,6 +557,12 @@ func (d Dim) ID(pos int) int {
 	return int(d.s.dimIDs[d.dim][pos])
 }
 
+// IDColumn returns the dimension's id column — entry p is ID(p) — as a
+// zero-copy view of length Len(), for readers that walk many sorted
+// positions, such as the UFPU min/max encoder. The caller must treat it as
+// read-only; its contents are valid until the next table write.
+func (d Dim) IDColumn() []int32 { return d.s.dimIDs[d.dim] }
+
 // IDsSorted returns all present resource ids in increasing order of this
 // dimension's metric value (FIFO tie-break preserved).
 func (d Dim) IDsSorted() []int {
