@@ -188,6 +188,7 @@ func Set() []Benchmark {
 		{Name: "EngineDecideMinN64", Iters: 2000, Threshold: simThreshold, Setup: setupEngineDecideMin(64)},
 		{Name: "EngineDecideMinN1024", Iters: 2000, Threshold: simThreshold, Setup: setupEngineDecideMin(1024)},
 		{Name: "EngineDecideMinN4096", Iters: 2000, Threshold: simThreshold, Setup: setupEngineDecideMin(4096)},
+		{Name: "EngineDecideFig17", Iters: 20000, Threshold: simThreshold, Setup: setupEngineDecideFig17},
 	}
 }
 
@@ -367,6 +368,76 @@ func setupEngineDecideMin(n int) func() (func(int), error) {
 			}
 		}, nil
 	}
+}
+
+// fig17PolicySrc is the Figure 17 multi-dimensional routing policy with
+// topX = 4, the policy perfbench's route-churn workload serves.
+const fig17PolicySrc = `
+let good = intersect(minK(table, queue, 4), minK(table, loss, 4), minK(table, util, 4))
+out primary = min(good, util)
+out backup  = min(table, util)
+fallback primary -> backup
+`
+
+// Shape of the EngineDecideFig17 benchmark: 64 paths, 32-packet batches,
+// and one 16-op update every fig17UpdateEvery batches.
+const (
+	fig17Paths       = 64
+	fig17Batch       = 32
+	fig17UpdateOps   = 16
+	fig17UpdateEvery = 4
+)
+
+// setupEngineDecideFig17 is the routing shape with writes beside reads: a
+// 2-shard engine running the Figure 17 policy over 64 paths. Every
+// iteration decides one 32-packet batch; every fourth first applies 16
+// single-path updates, so the gate times both the executions right after a
+// write (a new table version: every policy step runs) and the ones between
+// writes (the interpreter reuses the version's static results).
+func setupEngineDecideFig17() (func(int), error) {
+	e, err := engine.New(engine.Config{
+		Shards:   2,
+		Capacity: fig17Paths,
+		Schema:   policy.Schema{Attrs: []string{"util", "queue", "loss"}},
+		Policy:   policy.MustParse(fig17PolicySrc),
+	})
+	if err != nil {
+		return nil, err
+	}
+	r := rand.New(rand.NewSource(17))
+	row := func() []int64 {
+		c := r.Intn(100)
+		return []int64{int64(10*c + r.Intn(50)), int64(c/4 + r.Intn(6)), int64(50*c + r.Intn(500))}
+	}
+	for id := 0; id < fig17Paths; id++ {
+		if err := e.Add(id, row()); err != nil {
+			return nil, err
+		}
+	}
+	// The update stream is fixed at setup and cycled, so every repetition
+	// writes the same values.
+	updates := make([][]int64, 4*fig17Paths)
+	for i := range updates {
+		updates[i] = row()
+	}
+	pkts := make([]engine.Packet, fig17Batch)
+	return func(i int) {
+		if i%fig17UpdateEvery == 0 {
+			for j := 0; j < fig17UpdateOps; j++ {
+				k := (i/fig17UpdateEvery*fig17UpdateOps + j) % len(updates)
+				if err := e.Update(k%fig17Paths, updates[k]); err != nil {
+					panic(err)
+				}
+			}
+		}
+		for j := range pkts {
+			pkts[j] = engine.Packet{Key: uint64(i*fig17Batch+j) * 0x9E3779B97F4A7C15}
+		}
+		e.DecideBatch(pkts)
+		if !pkts[0].OK {
+			panic("perfcheck: fig17 decision failed")
+		}
+	}, nil
 }
 
 // bitvecSet returns the bit-vector kernel microbenchmarks. They live in

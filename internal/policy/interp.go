@@ -18,6 +18,22 @@ import (
 // Stateful operators (round-robin, random) keep per-node state across Exec
 // calls, exactly as a configured hardware unit would across packets.
 //
+// Every other step computes a pure function of the table contents, and the
+// contents change only on writes, which are far rarer than packets. Exec
+// therefore memoizes: when the table's version equals the version of the
+// previous execution, only the stateful steps and the steps downstream of
+// them run; every table-static step's buffer still holds its result. The
+// memo is sound because every SMBM mutator bumps the version, failing
+// mutators validate before they change anything, and an interpreter is
+// bound to one table for its lifetime.
+//
+// Contract: the vectors Exec, ExecTraced (and Module.Exec) return are the
+// interpreter's own buffers and are read-only. They stay valid across calls
+// at one table version — a static output is not recomputed until the next
+// write — so a caller that wrote to one would corrupt every later decision.
+// Copy a vector before modifying it. Built with -tags thanosdebug, every
+// warm execution re-derives the memoized buffers and panics on a mismatch.
+//
 // Construction flattens the expression DAG into a linear program (one step
 // per node, in dependency order) with a fixed result buffer per step, so
 // steady-state Exec touches no maps and performs no heap allocations. Two
@@ -53,8 +69,9 @@ type Interp struct {
 	//     Only steps downstream of a stateful unit's output are dynPop.
 	//
 	// Telemetry consumes popcounts only, so accounting keys on dynPop:
-	// pop-static counts are computed once per table version into cachedPop
-	// and charged in bulk (n × cachedPop) when FlushStats(n) publishes,
+	// pop-static counts are computed on every cold (memo-refreshing)
+	// execution into cachedPop and charged in bulk (n × cachedPop) when
+	// FlushStats(n) publishes,
 	// while the (typically zero) dynPop steps accumulate per execution via
 	// dynIdx into pendCand. A policy with no dynPop steps therefore pays
 	// NOTHING per execution for exact per-step candidate accounting — two
@@ -65,9 +82,18 @@ type Interp struct {
 	dynPop     []bool
 	dynIdx     []int // indices of dynPop steps, for the post-exec count pass
 	cachedPop  []uint32
-	popVersion uint64
-	popValid   bool
 	pendCand   []uint64 // dynPop per-step candidate sums awaiting FlushStats
+
+	// Version memo (see the type comment). dynSteps lists the dynContent
+	// steps in program order: the whole program of a warm execution.
+	// memoVersion is the table version the static buffers were computed
+	// at; memoValid distinguishes "never executed" from version 0.
+	dynSteps    []int
+	memoVersion uint64
+	memoValid   bool
+	// audit holds one scratch buffer per static non-table step, allocated
+	// only in thanosdebug builds for the warm-path memo audit.
+	audit []*bitvec.Vector
 }
 
 // interpStep is one instruction of the flattened evaluation program. Table
@@ -260,10 +286,19 @@ func NewInterp(table *smbm.SMBM, schema Schema, p *Policy) (*Interp, error) {
 	}
 	it.outs = make([]*bitvec.Vector, len(p.Outputs))
 	it.cachedPop = make([]uint32, len(it.prog))
-	for i, dyn := range it.dynPop {
-		if dyn {
+	static := 0
+	for i := range it.prog {
+		if it.dynPop[i] {
 			it.dynIdx = append(it.dynIdx, i)
 		}
+		if it.dynContent[i] {
+			it.dynSteps = append(it.dynSteps, i)
+		} else if it.prog[i].kind != stepTable {
+			static++
+		}
+	}
+	if memoAudit && static > 0 {
+		it.audit = bitvec.NewBatch(table.Capacity(), static)
 	}
 	return it, nil
 }
@@ -382,7 +417,8 @@ func (it *Interp) AttachTelemetry(cs *telemetry.ChainStats) {
 	}
 	it.stats = cs
 	it.pendCand = nil
-	it.popValid = false
+	// The popcount cache refreshes only on cold executions; force one.
+	it.memoValid = false
 	if cs != nil {
 		it.pendCand = make([]uint64, len(it.prog))
 	}
@@ -395,8 +431,8 @@ func (it *Interp) AttachTelemetry(cs *telemetry.ChainStats) {
 // module once per decision. All n executions must have run at the table's
 // current version — flush before mutating the table — which lets the flush
 // charge every pop-static step n × its cached popcount without any
-// per-execution bookkeeping. The cache refreshes here, from the step
-// buffers the last execution left behind, whenever the version moved.
+// per-execution bookkeeping. The cache is the memo's: the first execution
+// at a new version runs cold and refreshes it from the step buffers.
 // No-op without attached telemetry or when n is zero.
 //
 //thanos:hotpath
@@ -404,14 +440,6 @@ func (it *Interp) FlushStats(n uint64) {
 	cs := it.stats
 	if cs == nil || n == 0 {
 		return
-	}
-	if ver := it.table.Version(); !it.popValid || it.popVersion != ver {
-		for i, dyn := range it.dynPop {
-			if !dyn {
-				it.cachedPop[i] = uint32(it.vals[i].Count())
-			}
-		}
-		it.popVersion, it.popValid = ver, true
 	}
 	for i := range it.pendCand {
 		// Every step executes exactly once per execution, so one shared
@@ -432,11 +460,13 @@ func (it *Interp) FlushStats(n uint64) {
 
 // Exec evaluates every output against the table's current contents and
 // returns one table (bit vector) per output, in output order. Shared
-// subexpressions are evaluated once per call.
+// subexpressions are evaluated once per call, and table-static steps once
+// per table version (see the type comment).
 //
 // The returned slice and the vectors it holds are the interpreter's own
-// reusable buffers: they are valid until the next Exec call, which
-// overwrites them. Callers must copy anything they need to keep.
+// read-only buffers: they are valid until the next Exec call, and a static
+// output may be handed back unchanged by every call until the table is
+// written. Callers must copy anything they need to keep or modify.
 //
 //thanos:hotpath
 func (it *Interp) Exec() []*bitvec.Vector {
@@ -447,22 +477,33 @@ func (it *Interp) Exec() []*bitvec.Vector {
 // popcount after every step is recorded into it, and when chain telemetry
 // is attached each pop-dynamic step's popcount is accumulated for the next
 // FlushStats (pop-static steps are charged wholesale at flush time from
-// the version-keyed cache). Accounting stays exact but the steady-state
-// instrumented execution — stats attached, no dynPop steps, trace not
-// sampled — is byte-for-byte the uninstrumented one plus two untaken
-// branches.
+// the cache the last cold execution refreshed). Accounting stays exact but
+// the steady-state instrumented execution — stats attached, no dynPop
+// steps, trace not sampled — is byte-for-byte the uninstrumented one plus
+// two untaken branches.
+//
+// A warm execution — same table version as the previous one — runs only
+// the dynContent steps; a cold one runs the whole program and records the
+// version.
 //
 //thanos:hotpath
 func (it *Interp) ExecTraced(tr *telemetry.Trace) []*bitvec.Vector {
-	for i := range it.prog {
-		st := &it.prog[i]
-		switch st.kind {
-		case stepUnary:
-			st.unit.ExecInto(it.vals[i], it.vals[st.a], st.k)
-		case stepBinary:
-			st.bin.ExecInto(it.vals[i], it.vals[st.a], it.vals[st.b])
-		case stepFused:
-			it.vals[i].AndInto(st.fsrcs...)
+	if ver := it.table.Version(); it.memoValid && it.memoVersion == ver {
+		it.auditMemo()
+		for _, i := range it.dynSteps {
+			it.execStep(i)
+		}
+	} else {
+		for i := range it.prog {
+			it.execStep(i)
+		}
+		it.memoVersion, it.memoValid = ver, true
+		if it.stats != nil {
+			for i, dyn := range it.dynPop {
+				if !dyn {
+					it.cachedPop[i] = uint32(it.vals[i].Count())
+				}
+			}
 		}
 	}
 	if it.dynIdx != nil && it.stats != nil {
@@ -471,9 +512,9 @@ func (it *Interp) ExecTraced(tr *telemetry.Trace) []*bitvec.Vector {
 		}
 	}
 	if tr != nil {
-		// Sampled decisions read live popcounts: the static cache may lag
-		// the buffers mid-chunk, and a trace is rare enough that a popcount
-		// per step costs nothing at the engine level.
+		// Sampled decisions read live popcounts: every buffer, memoized or
+		// not, holds this execution's table, and a trace is rare enough
+		// that a popcount per step costs nothing at the engine level.
 		for i := range it.prog {
 			tr.AddStage(it.labels[i], it.vals[i].Count(), uint64(it.cycles[i]))
 		}
@@ -482,6 +523,22 @@ func (it *Interp) ExecTraced(tr *telemetry.Trace) []*bitvec.Vector {
 		it.outs[i] = it.vals[si]
 	}
 	return it.outs
+}
+
+// execStep runs program step i into its buffer. Table steps are free: their
+// value slot is the SMBM's live membership view.
+//
+//thanos:hotpath
+func (it *Interp) execStep(i int) {
+	st := &it.prog[i]
+	switch st.kind {
+	case stepUnary:
+		st.unit.ExecInto(it.vals[i], it.vals[st.a], st.k)
+	case stepBinary:
+		st.bin.ExecInto(it.vals[i], it.vals[st.a], it.vals[st.b])
+	case stepFused:
+		it.vals[i].AndInto(st.fsrcs...)
+	}
 }
 
 // ResetState resets all stateful units (round-robin pointers, LFSRs) in

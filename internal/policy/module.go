@@ -89,7 +89,7 @@ func (m *Module) Metrics(id int) ([]int64, bool) {
 
 // Exec evaluates the policy and returns the raw output tables, for callers
 // that need more than a single id (e.g. diagnosis queries that filter a
-// set).
+// set). The tables are read-only (see Interp): copy one before modifying it.
 func (m *Module) Exec() []*bitvec.Vector { return m.interp.Exec() }
 
 // ResetState resets the stateful filter units (round-robin, LFSRs).
