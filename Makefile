@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test bench check check-debug check-fault check-lint2 check-obs check-perf check-psim check-race-depth check-server experiments fuzz-smoke overhead-smoke metrics-demo load-smoke
+.PHONY: build test bench check check-debug check-lint2 check-obs check-perf check-race-matrix experiments fuzz-smoke overhead-smoke metrics-demo load-smoke
 
 build:
 	$(GO) build ./...
@@ -13,34 +13,40 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # check is the PR gate: build, static analysis, and race-enabled tests over
-# the whole tree — the sharded decision engine, the replica broadcast mode
-# and the event kernel all carry concurrency-sensitive invariants.
-# thanoslint runs after vet and mechanically enforces the paper's hardware
-# invariants: hot-path allocation freedom, simulation determinism, latency
-# constants, the engine's snapshot/epoch protocol, and the telemetry layer's
-# lock-free hot-safe API discipline — plus the v2 call-graph analyzers
-# (goroutineleak, lockorder, publishsafety, wireproto) over the serving
-# stack's concurrency and protocol contracts.
+# the whole tree — the sharded decision engine, the serving frontend, the
+# fault-injection suite and the event kernel all carry concurrency-sensitive
+# invariants. thanoslint runs after vet and mechanically enforces the
+# paper's hardware invariants: hot-path allocation freedom, simulation
+# determinism, latency constants, the engine's snapshot/epoch protocol, and
+# the telemetry layer's lock-free hot-safe API discipline — plus the
+# call-graph analyzers (goroutineleak, lockorder, wireproto) over the
+# serving stack's concurrency and protocol contracts.
 check: build
 	$(GO) vet ./...
 	$(GO) run ./cmd/thanoslint .
 	$(GO) test -race ./...
 
-# check-lint2 is the fast-iteration loop for the v2 call-graph analyzers:
-# only the four serving-stack analyzers over the real tree, plus their
-# seeded-violation fixture tests.
+# check-lint2 is the fast-iteration loop for the serving-stack analyzers:
+# the three call-graph analyzers and snapshotsafety's epoch publish
+# protocol over the real tree, plus their seeded-violation fixture tests.
 check-lint2:
-	$(GO) run ./cmd/thanoslint -only goroutineleak,lockorder,publishsafety,wireproto .
-	$(GO) test -count=1 -run 'TestGoroutineLeak|TestLockOrder|TestPublishSafety|TestWireProto' ./internal/lint/
+	$(GO) run ./cmd/thanoslint -only goroutineleak,lockorder,snapshotsafety,wireproto .
+	$(GO) test -count=1 -run 'TestGoroutineLeak|TestLockOrder|TestSnapshotSafety|TestPublishSafety|TestWireProto' ./internal/lint/
 
-# check-race-depth re-runs the engine and server suites under the race
-# detector at both ends of the scheduler spectrum: GOMAXPROCS=1 forces
-# cooperative interleavings (goroutines only switch at yield points, so
-# missing shutdown edges hang visibly) and GOMAXPROCS=4 maximizes true
-# parallelism. Schedule-dependent races show up at one setting or the other.
-check-race-depth:
+# check-race-matrix re-runs the concurrency-heavy suites under the race
+# detector at both ends of the scheduler spectrum (make check covers the
+# default GOMAXPROCS): GOMAXPROCS=1 forces cooperative interleavings
+# (goroutines only switch at yield points, so a missing shutdown or barrier
+# edge hangs visibly) and GOMAXPROCS=4 maximizes true parallelism.
+# Schedule-dependent races show up at one setting or the other. The engine
+# and server suites run in full; the event kernel and the serial-vs-parallel
+# netsim identity tests run in -short mode, and bit-identity of the parallel
+# driver must hold at both settings.
+check-race-matrix:
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/engine/ ./internal/server/...
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/engine/ ./internal/server/...
+	GOMAXPROCS=1 $(GO) test -race -count=1 -short ./internal/sim/ ./internal/netsim/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -short ./internal/sim/ ./internal/netsim/
 
 # check-debug re-runs the suite with the thanosdebug build tag: SMBM
 # re-verifies per-dimension sortedness and the id<->metric pointer bijection
@@ -48,27 +54,6 @@ check-race-depth:
 check-debug:
 	$(GO) run ./cmd/thanoslint -debug .
 	$(GO) test -tags thanosdebug ./...
-
-# check-fault runs the failure-injection suite under the race detector: the
-# deterministic fault planner, engine shard quarantine/resync, replica
-# divergence handling, netsim link/switch faults with RTO recovery, the
-# Figure 17/18 failure sweeps, and the lb control-plane retry path.
-check-fault:
-	$(GO) test -race -count=1 ./internal/fault/
-	$(GO) test -race -count=1 \
-		-run 'Fault|Failure|Quarantine|Resync|Replica|ControlUpdater|ClusterRun|RTO|PortSetDown|EngineClose' \
-		./internal/engine/ ./internal/smbm/ ./internal/netsim/ ./internal/experiments/ ./internal/lb/
-
-# check-psim is the parallel-simulation gate: the event-kernel suite plus
-# the serial-vs-parallel identity tests (clean and fault-injected fat
-# trees, sticky Stop semantics, flow-API validation) under the race
-# detector at both scheduler depths — GOMAXPROCS=1 forces cooperative
-# interleavings of the LP goroutines (a missing shutdown or barrier edge
-# hangs visibly), GOMAXPROCS=4 maximizes true parallelism. Bit-identity of
-# the parallel driver must hold at both settings.
-check-psim:
-	GOMAXPROCS=1 $(GO) test -race -count=1 -short ./internal/sim/ ./internal/netsim/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -short ./internal/sim/ ./internal/netsim/
 
 # check-perf is the performance-regression gate: it runs the pinned
 # benchmark set (internal/perfcheck) and compares against the newest
@@ -82,13 +67,6 @@ PERFCHECK_OUT ?= bench_fresh.json
 check-perf:
 	$(GO) run ./cmd/thanosbench -checkpoint $(PERFCHECK_OUT) \
 		-against "$$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1)"
-
-# check-server runs the serving-frontend suite under the race detector: the
-# wire codec, backpressure/admission control, the randomized wire-vs-oracle
-# differential, and the fault-injected soak (short window; `go test -tags
-# soak ./internal/server/` selects the long run).
-check-server:
-	$(GO) test -race -count=1 ./internal/server/...
 
 # fuzz-smoke runs each native fuzz target for FUZZTIME (30s default) from
 # its checked-in seed corpus: the DSL parser round-trip, the bit-vector

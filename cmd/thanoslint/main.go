@@ -9,7 +9,7 @@
 // -debug additionally treats the thanosdebug build tag as satisfied, so the
 // assertion-enabled variants of the hardware models are analyzed too.
 // -only restricts the run to a comma-separated subset of analyzer names
-// (e.g. -only goroutineleak,lockorder,publishsafety,wireproto — the
+// (e.g. -only goroutineleak,lockorder,snapshotsafety,wireproto — the
 // check-lint2 fast-iteration target).
 package main
 

@@ -160,8 +160,8 @@ func TestEngineFallback(t *testing.T) {
 	}
 }
 
-// TestEngineWriteErrorsLeaveReplicasUntouched mirrors the ReplicaGroup
-// property: a rejected write must leave every replica identical.
+// TestEngineWriteErrorsLeaveReplicasUntouched checks that a rejected write
+// leaves every replica identical.
 func TestEngineWriteErrorsLeaveReplicasUntouched(t *testing.T) {
 	e := newTestEngine(t, 3, minPolicySrc)
 	fillRandom(t, e, 8, 5)

@@ -252,7 +252,7 @@ func TestEngineAllShardsQuarantined(t *testing.T) {
 // TestEngineCloseConcurrentDecideBatch is the shutdown-race regression test:
 // Close racing in-flight DecideBatch callers must neither panic nor
 // deadlock — batches either complete or come back undecided. Run under
-// -race (make check / check-fault).
+// -race (make check / check-race-matrix).
 func TestEngineCloseConcurrentDecideBatch(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		e, err := New(Config{Shards: 4, Capacity: 32, Schema: testSchema, Policy: policy.MustParse(minPolicySrc)})

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // TestEngineConcurrentDecideAndWrite hammers DecideBatch from several
@@ -114,6 +117,80 @@ func TestEngineConcurrentWriters(t *testing.T) {
 	}
 	if got := e.Size(); got != 32 {
 		t.Fatalf("size %d, want 32", got)
+	}
+}
+
+// TestEngineConcurrentWritersTelemetry runs the same contended writers
+// with telemetry attached and two scrapers exporting the registry
+// throughout: the table counters must be race-free to read while writes
+// land, the replicas must end identical, and the counters must end at the
+// exact write count.
+func TestEngineConcurrentWritersTelemetry(t *testing.T) {
+	const (
+		shards  = 2
+		writers = 4
+		ids     = 8
+		reps    = 20
+	)
+	reg := telemetry.NewRegistry()
+	e := newTelemetryEngine(t, shards, minPolicySrc, reg, 0)
+
+	done := make(chan struct{})
+	var scrapers sync.WaitGroup
+	for s := 0; s < 2; s++ {
+		scrapers.Add(1)
+		go func() {
+			defer scrapers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := reg.WritePrometheus(io.Discard); err != nil {
+					t.Errorf("scrape: %v", err)
+					return
+				}
+				_ = reg.Snapshot()
+			}
+		}()
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(base int) {
+			defer wg.Done()
+			for rep := 0; rep < reps; rep++ {
+				for id := base; id < base+ids; id++ {
+					if err := e.Upsert(id, []int64{int64(id*100 + rep), 0, 0}); err != nil {
+						t.Errorf("upsert %d: %v", id, err)
+						return
+					}
+				}
+			}
+		}(g * ids)
+	}
+	wg.Wait()
+	close(done)
+	scrapers.Wait()
+	if err := e.CheckSync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Size(); got != writers*ids {
+		t.Fatalf("size %d, want %d", got, writers*ids)
+	}
+	// Each write lands on both snapshots of every shard. The first upsert
+	// of an id is an add; every later one is an update, which counts its
+	// constituent add too (§5.1.2).
+	snap := reg.Snapshot()
+	wantAdds := uint64(writers * ids * reps * 2 * shards)
+	wantUpdates := uint64(writers * ids * (reps - 1) * 2 * shards)
+	if got := snapCounter(t, snap, "thanos_engine_table_adds_total"); got != wantAdds {
+		t.Errorf("table_adds_total = %d, want %d", got, wantAdds)
+	}
+	if got := snapCounter(t, snap, "thanos_engine_table_updates_total"); got != wantUpdates {
+		t.Errorf("table_updates_total = %d, want %d", got, wantUpdates)
 	}
 }
 

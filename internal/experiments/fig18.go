@@ -315,24 +315,6 @@ func DrillSweepWith(cfg NetConfig, load float64, ds, ms []int, pool runner.Pool)
 	})
 }
 
-// DebugPortLB runs one (policy, load) configuration and returns the network
-// for diagnostic inspection along with the mean FCT. It exists for the
-// harness's own debugging and for white-box tests.
-func DebugPortLB(cfg NetConfig, pol PortPolicy, load float64) (*netsim.Network, float64, error) {
-	net, err := buildPortLBNetwork(cfg, pol, cfg.DrillD, cfg.DrillM)
-	if err != nil {
-		return nil, 0, err
-	}
-	if _, err := offerTraffic(cfg, net, load); err != nil {
-		return nil, 0, err
-	}
-	fct, err := meanFCT(cfg, net)
-	if err != nil {
-		return nil, 0, err
-	}
-	return net, fct, nil
-}
-
 // BuildPortLB exposes the Figure 18 network construction (topology +
 // per-packet port policy installation) to external drivers such as
 // cmd/netsim.

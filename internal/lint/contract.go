@@ -56,6 +56,9 @@ func DefaultConfig() Config {
 				// execution function may store it.
 				"inUse": {"process"},
 			},
+			// active is the epoch publish pointer; inUse is the reader's pin
+			// and deliberately not listed (storing it is not a publish).
+			PublishFields: []string{"active"},
 		},
 		Goroutine: GoroutineConfig{
 			Pkgs: []string{"repro/internal/engine", "repro/internal/server", "repro/internal/netsim"},
@@ -73,14 +76,6 @@ func DefaultConfig() Config {
 			},
 			IOPkgs:  []string{"net", "bufio", "io"},
 			IOFuncs: []string{"Read", "Write", "Flush", "ReadFull", "ReadByte", "WriteByte", "Copy"},
-		},
-		Publish: PublishConfig{
-			Pkg:        "repro/internal/engine",
-			Types:      []string{"snapshot"},
-			AllowFuncs: []string{"New", "apply", "applyShard", "resyncShard", "swapShard"},
-			// active is the epoch publish pointer; inUse is the reader's pin
-			// and deliberately not listed (storing it is not a publish).
-			PublishFields: []string{"active"},
 		},
 		Wire: WireConfig{
 			Pkg:        "repro/internal/server",

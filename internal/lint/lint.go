@@ -5,7 +5,7 @@
 // (§5.1), and the switch decides one packet per clock — and the software
 // rendering of those guarantees ("zero allocations and no wall-clock or
 // global-rand nondeterminism on the decision path", "snapshot state is only
-// mutated behind an epoch publish") is enforced at build time by five
+// mutated before its epoch publish") is enforced at build time by five
 // analyzers:
 //
 //   - hotpathalloc:    no allocating constructs on //thanos:hotpath call graphs
@@ -13,21 +13,20 @@
 //     leaks in the simulation/datapath packages
 //   - latencycontract: declared latency constants match the paper's table
 //     (internal/lint/contract.go is the single source of truth)
-//   - snapshotsafety:  engine snapshot state mutates only behind the epoch
-//     publish protocol; sync primitives are never copied by value
+//   - snapshotsafety:  engine snapshot state mutates only inside the publish
+//     protocol and never through a snapshot after its atomic Store publish;
+//     sync primitives are never copied by value
 //   - telemetrysafety: telemetry reachable from //thanos:hotpath roots is
 //     lock-free and restricted to the hot-safe instrument API
 //
-// The v2 analyzers add a call-graph layer (callgraph.go: static resolution
-// plus CHA for interface dispatch) and check the serving stack's concurrency
-// and protocol contracts:
+// Three more analyzers add a call-graph layer (callgraph.go: static
+// resolution plus CHA for interface dispatch) and check the serving stack's
+// concurrency and protocol contracts:
 //
 //   - goroutineleak:   every spawned goroutine has a shutdown edge (closed
 //     channel, WaitGroup join, context cancel) reachable from Close
 //   - lockorder:       no lock-ordering cycles; no blocking channel ops or
 //     mixed-use I/O while a lock is held
-//   - publishsafety:   fields the hot path reads from epoch-published
-//     snapshots are only written before the atomic Store publish
 //   - wireproto:       opcode/codec/dispatch exhaustiveness and cap symmetry
 //     across the server and client ends of the wire protocol
 //
@@ -82,11 +81,12 @@ type Analyzer struct {
 }
 
 // All is the full thanoslint suite in reporting order.
-var All = []*Analyzer{HotPathAlloc, Determinism, LatencyContract, SnapshotSafety, TelemetrySafety, GoroutineLeak, LockOrder, PublishSafety, WireProto}
+var All = []*Analyzer{HotPathAlloc, Determinism, LatencyContract, SnapshotSafety, TelemetrySafety, GoroutineLeak, LockOrder, WireProto}
 
-// V2 is the call-graph-based subset added for the serving stack (the
-// `make check-lint2` fast-iteration target).
-var V2 = []*Analyzer{GoroutineLeak, LockOrder, PublishSafety, WireProto}
+// V2 is the serving-stack subset (the `make check-lint2` fast-iteration
+// target): the three call-graph analyzers plus snapshotsafety's epoch
+// publish protocol.
+var V2 = []*Analyzer{GoroutineLeak, LockOrder, SnapshotSafety, WireProto}
 
 // Unit is the analysis scope handed to every analyzer: the loaded packages
 // plus configuration. Analyzers report through Reportf.
@@ -154,8 +154,6 @@ type Config struct {
 	Goroutine GoroutineConfig
 	// Locks configures the lockorder analyzer.
 	Locks LockConfig
-	// Publish configures the publishsafety analyzer.
-	Publish PublishConfig
 	// Wire configures the wireproto analyzer.
 	Wire WireConfig
 }
@@ -174,6 +172,11 @@ type SnapshotConfig struct {
 	// StoreFields maps an atomic publish-pointer field name (e.g. "active")
 	// to the functions allowed to call .Store on it.
 	StoreFields map[string][]string
+	// PublishFields are the publish-pointer field names whose Store is the
+	// epoch publish (e.g. "active"): no field of the stored object may be
+	// written after it. Stores to other atomics (the reader's inUse pin)
+	// are not publishes.
+	PublishFields []string
 }
 
 // LatencyConst is one row of the latency contract: package Pkg must declare
@@ -207,6 +210,16 @@ func hasMark(doc *ast.CommentGroup, mark string) (bool, string) {
 func pathMatchesAny(path string, prefixes []string) bool {
 	for _, p := range prefixes {
 		if path == p || strings.HasPrefix(path, p+"/") {
+			return true
+		}
+	}
+	return false
+}
+
+// nameInList reports whether name is one of list.
+func nameInList(name string, list []string) bool {
+	for _, n := range list {
+		if n == name {
 			return true
 		}
 	}

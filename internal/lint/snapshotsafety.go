@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -11,13 +12,19 @@ import (
 //
 //   - fields of the epoch-published snapshot structs are assigned solely
 //     inside the designated construction/publish functions, and
+//   - inside those functions, once a snapshot value has been handed to a
+//     publish pointer's Store (PublishFields, e.g. active), no field of that
+//     same object is written afterwards. The check is object-sensitive:
+//     applyShard's post-Store replay legitimately mutates the *retired*
+//     snapshot, which was never the Store argument — only writes through the
+//     published value are ordered after the reader may observe it, and
 //   - the atomic publish pointers (active, inUse) are Stored only by the
 //     designated side of the protocol (writer swap vs. reader pin), and
 //   - sync primitives (mutexes, wait groups, atomics) are never copied by
 //     value, which would silently fork their state.
 var SnapshotSafety = &Analyzer{
 	Name: "snapshotsafety",
-	Doc:  "snapshot state mutates only behind the epoch publish; no locks copied by value",
+	Doc:  "snapshot state mutates only before the epoch publish; no locks copied by value",
 	Run:  runSnapshotSafety,
 }
 
@@ -26,21 +33,23 @@ var storeMethods = map[string]bool{"Store": true, "Swap": true, "CompareAndSwap"
 
 func runSnapshotSafety(u *Unit) error {
 	cfg := u.Config.Snapshot
+	if cfg.Pkg == "" {
+		return nil
+	}
 	for _, pkg := range u.Pkgs {
-		inScope := cfg.Pkg != "" && pathMatchesAny(pkg.Path, []string{cfg.Pkg})
+		if !pathMatchesAny(pkg.Path, []string{cfg.Pkg}) {
+			continue
+		}
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok {
 					continue
 				}
-				if inScope {
-					checkLockCopies(u, pkg, fd)
+				checkLockCopies(u, pkg, fd)
+				if fd.Body != nil {
+					checkSnapshotWrites(u, pkg, fd, cfg)
 				}
-				if fd.Body == nil || !inScope {
-					continue
-				}
-				checkSnapshotWrites(u, pkg, fd, cfg)
 			}
 		}
 	}
@@ -50,56 +59,62 @@ func runSnapshotSafety(u *Unit) error {
 // --- snapshot-field and publish-pointer discipline ---
 
 func checkSnapshotWrites(u *Unit, pkg *Package, fd *ast.FuncDecl, cfg SnapshotConfig) {
-	fname := fd.Name.Name
+	// First pass: publish-pointer stores, and where each snapshot object was
+	// published.
+	published := map[types.Object]token.Pos{}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			checkPublishStore(u, pkg, fd.Name.Name, call, cfg, published)
+		}
+		return true
+	})
+	// Second pass: snapshot field writes.
+	allowed := nameInList(fd.Name.Name, cfg.AllowFuncs)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, l := range n.Lhs {
-				checkSnapshotFieldTarget(u, pkg, fd, l, cfg)
+				checkSnapshotFieldTarget(u, pkg, l, cfg, allowed, published)
 			}
 		case *ast.IncDecStmt:
-			checkSnapshotFieldTarget(u, pkg, fd, n.X, cfg)
-		case *ast.CallExpr:
-			checkPublishStore(u, pkg, fname, n, cfg)
+			checkSnapshotFieldTarget(u, pkg, n.X, cfg, allowed, published)
 		}
 		return true
 	})
 }
 
 // checkSnapshotFieldTarget flags sel-expression assignment targets whose
-// receiver is one of the epoch-published snapshot types, outside AllowFuncs.
-func checkSnapshotFieldTarget(u *Unit, pkg *Package, fd *ast.FuncDecl, target ast.Expr, cfg SnapshotConfig) {
+// receiver is one of the epoch-published snapshot types: anywhere outside
+// AllowFuncs, and inside them through an object after its publish.
+func checkSnapshotFieldTarget(u *Unit, pkg *Package, target ast.Expr, cfg SnapshotConfig, allowed bool, published map[types.Object]token.Pos) {
 	sel, ok := unparen(target).(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
 	named := namedOf(pkg.Info.TypeOf(sel.X))
-	if named == nil || named.Obj().Pkg() != pkg.Types {
+	if named == nil || named.Obj().Pkg() != pkg.Types || !nameInList(named.Obj().Name(), cfg.Types) {
 		return
 	}
-	isSnapshot := false
-	for _, name := range cfg.Types {
-		if named.Obj().Name() == name {
-			isSnapshot = true
-			break
-		}
-	}
-	if !isSnapshot {
+	if !allowed {
+		u.Reportf(target.Pos(), "assignment to %s.%s outside the publish/swap functions (%v): snapshot state written outside the publish protocol races the pinned reader",
+			named.Obj().Name(), sel.Sel.Name, cfg.AllowFuncs)
 		return
 	}
-	for _, allowed := range cfg.AllowFuncs {
-		if fd.Name.Name == allowed {
-			return
-		}
+	base := baseIdent(sel.X)
+	if base == nil {
+		return
 	}
-	u.Reportf(target.Pos(), "assignment to %s.%s outside the publish/swap functions (%v): snapshot state may only change behind the epoch publish",
-		named.Obj().Name(), sel.Sel.Name, cfg.AllowFuncs)
+	if at, ok := published[refObject(pkg.Info, base)]; ok && target.Pos() > at {
+		u.Reportf(target.Pos(), "snapshot field %s written through %s after its epoch publish (the reader may already be executing it)",
+			sel.Sel.Name, base.Name)
+	}
 }
 
 // checkPublishStore flags x.<field>.Store(...) (and Swap/CompareAndSwap)
 // where <field> is a configured publish pointer and the enclosing function is
-// not on that field's allow list.
-func checkPublishStore(u *Unit, pkg *Package, fname string, call *ast.CallExpr, cfg SnapshotConfig) {
+// not on that field's allow list. A Store on one of PublishFields records
+// its argument's first publish position in published.
+func checkPublishStore(u *Unit, pkg *Package, fname string, call *ast.CallExpr, cfg SnapshotConfig, published map[types.Object]token.Pos) {
 	method, ok := unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || !storeMethods[method.Sel.Name] {
 		return
@@ -112,14 +127,16 @@ func checkPublishStore(u *Unit, pkg *Package, fname string, call *ast.CallExpr, 
 	if !ok || !v.IsField() || v.Pkg() != pkg.Types {
 		return
 	}
-	allowed, configured := cfg.StoreFields[field.Sel.Name]
-	if !configured {
-		return
-	}
-	for _, a := range allowed {
-		if fname == a {
-			return
+	if method.Sel.Name == "Store" && len(call.Args) == 1 && nameInList(field.Sel.Name, cfg.PublishFields) {
+		if obj := refObject(pkg.Info, call.Args[0]); obj != nil {
+			if _, seen := published[obj]; !seen {
+				published[obj] = call.Pos()
+			}
 		}
+	}
+	allowed, configured := cfg.StoreFields[field.Sel.Name]
+	if !configured || nameInList(fname, allowed) {
+		return
 	}
 	u.Reportf(call.Pos(), "%s on publish pointer %q outside its protocol functions (%v): epoch publication has exactly one writer side",
 		method.Sel.Name, field.Sel.Name, allowed)

@@ -151,10 +151,6 @@ func (p *Port) Recvs() uint64 { return p.recvPkts }
 // Peer returns the other end of the link, or nil if unconnected.
 func (p *Port) Peer() *Port { return p.peer }
 
-// GID returns the network-global port id (assignment order: switch ports
-// in switch-id/port-index order, then host NICs in Connect order).
-func (p *Port) GID() int { return p.gid }
-
 // FaultDrops returns the packets dropped because the link was down, a
 // subset of Drops.
 func (p *Port) FaultDrops() uint64 { return p.faultPkts }

@@ -106,9 +106,6 @@ func (r *PathRouter) Invalidate(port int) int {
 	return n
 }
 
-// Pinned returns the number of flows currently pinned to a path.
-func (r *PathRouter) Pinned() int { return len(r.flowPath) }
-
 // PortSelector makes per-packet output-port decisions (§7.2.4): every
 // packet with more than one candidate port consults the Thanos module,
 // whose table holds one resource per port with live queue metrics.
@@ -117,7 +114,6 @@ type PortSelector struct {
 	module     Backend
 	portOf     func(resource int) int
 	resourceOf map[int]int // port -> resource
-	dropped    uint64      // metric updates the backend refused
 }
 
 // NewPortSelector installs per-packet policy-driven port selection on sw.
@@ -168,18 +164,11 @@ func (s *PortSelector) SyncQueueMetric(queueDim int) {
 			return
 		}
 		vals[queueDim] = newLen
-		if err := s.module.Upsert(res, vals); err != nil {
-			// The resource was just read, so this "cannot" fail — but a
-			// degraded backend (e.g. an engine whose shards are all
-			// quarantined, or one racing Close) may refuse writes. A stale
-			// queue metric until the next event is strictly better than
-			// crashing the simulation; the periodic metric tick heals it.
-			s.dropped++
-		}
+		// The resource was just read, so this "cannot" fail — but a
+		// degraded backend (e.g. an engine whose shards are all
+		// quarantined, or one racing Close) may refuse writes. A stale
+		// queue metric until the next event is strictly better than
+		// crashing the simulation; the periodic metric tick heals it.
+		_ = s.module.Upsert(res, vals)
 	}
 }
-
-// DroppedUpdates returns control-plane metric updates the backend refused;
-// the table serves slightly stale queue metrics until a later event or
-// metric tick succeeds.
-func (s *PortSelector) DroppedUpdates() uint64 { return s.dropped }

@@ -47,11 +47,19 @@ var (
 	ErrNotFound     = errors.New("smbm: resource id not present")
 	ErrBadID        = errors.New("smbm: resource id out of range")
 	ErrMetricsArity = errors.New("smbm: wrong number of metric values")
+
+	// ErrReplicaDivergence marks a write the authoritative table accepted
+	// but a per-pipeline replica rejected: that replica no longer mirrors
+	// the authority (e.g. after memory corruption or a missed update). The
+	// engine quarantines the diverged replica and resyncs it from the
+	// authority while the healthy replicas, which still received the write,
+	// keep serving.
+	ErrReplicaDivergence = errors.New("smbm: replica divergence")
 )
 
 // SMBM is a sorted multidimensional bidirectional map. It is not safe for
 // concurrent use; the multi-pipeline replication scheme of §5.1.5 is modeled
-// by ReplicaGroup.
+// by internal/engine, which keeps one SMBM replica per shard.
 type SMBM struct {
 	n, m    int
 	size    int
@@ -511,15 +519,9 @@ func (s *SMBM) PosInDim(id, dim int) int {
 // Members returns a bit vector of width Capacity() with a 1 for each
 // resource id currently present — the encoding of the full table that feeds
 // the filter pipeline. The result is a fresh copy the caller may mutate;
-// allocation-free readers use MembersInto or MembersView.
+// allocation-free readers use MembersView.
 func (s *SMBM) Members() *bitvec.Vector {
 	return s.members.Clone()
-}
-
-// MembersInto overwrites dst with the current membership vector. dst must
-// have width Capacity().
-func (s *SMBM) MembersInto(dst *bitvec.Vector) {
-	dst.CopyFrom(s.members)
 }
 
 // MembersView returns the table's internal membership vector, maintained
